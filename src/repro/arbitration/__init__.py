@@ -22,7 +22,6 @@ from repro.arbitration.bus_arbiter import (
     RandomBusAssignment,
     RoundRobinBusAssignment,
     SingleBusAssignment,
-    StructureMatchingAssignment,
 )
 from repro.arbitration.kclass_assignment import KClassBusAssignment
 from repro.arbitration.memory_arbiter import (
@@ -41,7 +40,6 @@ from repro.topology import (
     PartialBusNetwork,
     SingleBusMemoryNetwork,
 )
-from repro.topology.structure import StructureNetwork
 
 __all__ = [
     "BusAssignmentPolicy",
@@ -51,7 +49,6 @@ __all__ = [
     "SingleBusAssignment",
     "CrossbarAssignment",
     "MatchingBusAssignment",
-    "StructureMatchingAssignment",
     "KClassBusAssignment",
     "MemoryArbiter",
     "resolve_memory_contention",
@@ -77,11 +74,9 @@ def assignment_for(network: MultipleBusNetwork) -> BusAssignmentPolicy:
     * partial -> per-group round-robin,
     * single -> per-bus round-robin,
     * K classes -> the two-step procedure of Lang et al. [10],
-    * custom structures -> memoized maximum matching,
-    * anything else (e.g. fault-degraded topologies) -> maximum matching.
+    * anything else (custom structures, fault-degraded topologies) ->
+      :class:`MatchingBusAssignment`, a memoized maximum matching.
     """
-    if isinstance(network, StructureNetwork):
-        return StructureMatchingAssignment(network.memory_bus_matrix())
     if isinstance(network, CrossbarNetwork):
         return CrossbarAssignment(network.n_memories, network.n_buses)
     if isinstance(network, KClassPartialBusNetwork):

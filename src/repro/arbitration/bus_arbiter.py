@@ -13,6 +13,13 @@ hence the bandwidth) is identical under any work-conserving selection
 rule; round-robin only changes which modules win.  Tests exploit this
 equivalence.
 
+Topologies outside the paper's schemes -- custom incidence structures
+and fault-degraded networks -- share one arbiter,
+:class:`MatchingBusAssignment`: a deterministic, memoized maximum
+matching.  Both the plain simulator and fault-schedule runs use it, so
+a degraded run's grants do not depend on the process (hash seed) it
+runs in.
+
 The priority extension adds a parallel family of stage-two policies
 (``Priority*Assignment``) whose candidates carry a criticality class and
 whose bus pool shrinks to the buses not still carrying a multi-cycle
@@ -34,6 +41,7 @@ import numpy as np
 from repro.arbitration.base import BusAssignmentPolicy
 from repro.core.priority import ArbitrationSpec
 from repro.exceptions import ConfigurationError, SimulationError
+from repro.topology.structure import MatchingOracle
 
 __all__ = [
     "RoundRobinBusAssignment",
@@ -209,60 +217,23 @@ class CrossbarAssignment(BusAssignmentPolicy):
 
 
 class MatchingBusAssignment(BusAssignmentPolicy):
-    """Optimal assignment for arbitrary connection matrices.
+    """Maximum-matching assignment for arbitrary connection matrices.
 
-    Uses Hopcroft-Karp maximum bipartite matching between requested
-    modules and the buses they attach to.  This is not one of the paper's
-    arbiters; it serves as the *upper bound* policy for degraded (fault-
-    injected) topologies where the structured arbiters no longer apply,
-    and quantifies how much bandwidth the paper's simple two-step K-class
-    procedure leaves on the table (ablation E10).
-    """
-
-    def __init__(self, memory_bus_matrix: np.ndarray):
-        memory_bus_matrix = np.asarray(memory_bus_matrix, dtype=bool)
-        if memory_bus_matrix.ndim != 2:
-            raise ConfigurationError("memory_bus_matrix must be 2-D")
-        super().__init__(*memory_bus_matrix.shape)
-        self._matrix = memory_bus_matrix
-
-    def assign(
-        self, requested_modules: Sequence[int], rng: np.random.Generator
-    ) -> dict[int, int]:
-        import networkx as nx
-
-        modules = [int(m) for m in requested_modules]
-        if not modules:
-            return {}
-        graph = nx.Graph()
-        module_nodes = [("m", m) for m in modules]
-        graph.add_nodes_from(module_nodes, bipartite=0)
-        for m in modules:
-            for bus in np.flatnonzero(self._matrix[m]):
-                graph.add_edge(("m", m), ("b", int(bus)))
-        matching = nx.bipartite.maximum_matching(
-            graph, top_nodes=[n for n in module_nodes if graph.degree(n) > 0]
-        )
-        grants: dict[int, int] = {}
-        for node, partner in matching.items():
-            if node[0] == "b":
-                grants[node[1]] = partner[1]
-        return grants
-
-
-class StructureMatchingAssignment(BusAssignmentPolicy):
-    """Memoized maximum-matching arbiter for custom incidence structures.
-
-    Functionally equivalent to :class:`MatchingBusAssignment` (same grant
-    count: a maximum matching), but deterministic in which buses carry
-    which modules and memoized by requested-set bitmask, so long
-    simulations over a fixed :class:`StructureNetwork` pay one Kuhn
+    Grants a maximum bipartite matching between the requested modules
+    and the buses they attach to (Kuhn's augmenting paths, via
+    :class:`~repro.topology.structure.MatchingOracle`).  The matching is
+    deterministic -- the same requested set always gets the same buses --
+    and memoized by requested-set bitmask, so a long run pays one
     matching per *distinct* requested set rather than per cycle.
+
+    This is not one of the paper's arbiters.  It is the policy for custom
+    incidence structures and fault-degraded topologies, where the
+    structured arbiters no longer apply, and the upper bound that shows
+    how much bandwidth the paper's two-step K-class procedure leaves on
+    the table (ablation E10).
     """
 
     def __init__(self, memory_bus_matrix: np.ndarray):
-        from repro.topology.structure import MatchingOracle
-
         memory_bus_matrix = np.asarray(memory_bus_matrix, dtype=bool)
         if memory_bus_matrix.ndim != 2:
             raise ConfigurationError("memory_bus_matrix must be 2-D")
@@ -272,8 +243,6 @@ class StructureMatchingAssignment(BusAssignmentPolicy):
     def assign(
         self, requested_modules: Sequence[int], rng: np.random.Generator
     ) -> dict[int, int]:
-        if not requested_modules:
-            return {}
         return self._oracle.grants(requested_modules)
 
 

@@ -11,17 +11,18 @@ matrices change mid-run.
 
 Execution model
 ---------------
-The schedule partitions the run into *segments* of constant failure set.
-All request draws are materialized up front with
-:meth:`~repro.workloads.generator.ModelRequestGenerator.request_arrays`,
-which consumes the generation stream bit-identically to per-cycle
-iteration — so the request stream a seed produces is independent of how
-the schedule slices the run, and a schedule that fails set ``F`` at
-cycle 0 and never repairs reproduces the static
-``DegradedNetwork(base, F)`` run cycle for cycle (the differential test
-suite locks this down).  Each segment then runs under the matching
-arbiter (loop backend) or the closed-form degraded assigners of
-:mod:`repro.simulation.vectorized` (batch backend); both agree on grant
+The schedule partitions the run into *segments* of constant failure set,
+and :func:`simulate_with_faults` hands them to the two kernels
+:class:`~repro.simulation.engine.MultiprocessorSimulator` runs:
+:func:`~repro.simulation.engine.run_loop` (the scheme's arbiter while
+healthy, the matching arbiter over the surviving wiring while degraded)
+and :func:`~repro.simulation.vectorized.run_vectorized` (closed-form
+degraded assigners for the full, partial and single schemes).  The
+request stream a seed produces does not depend on how the schedule
+slices the run, so an empty schedule reproduces the healthy run, and a
+schedule that fails set ``F`` at cycle 0 and never repairs reproduces
+the static ``DegradedNetwork(base, F)`` run, result for result (the
+differential test suite locks this down).  The backends agree on grant
 counts because the count per cycle is a deterministic function of the
 requested-module set.
 
@@ -32,40 +33,42 @@ the run, they never crash it.
 Blocked requests follow the paper's assumption 5 (dropped) by default.
 With ``blocked="resubmit"`` a request aimed at a momentarily
 *inaccessible* module (no surviving bus) is held and resubmitted every
-cycle until its module becomes reachable again; contention losses are
-still dropped, so healthy segments keep the paper's semantics.
+cycle until its module becomes reachable again (loop kernel only);
+contention losses are still dropped, so healthy segments keep the
+paper's semantics.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections.abc import Iterable, Iterator
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.arbitration import assignment_for
-from repro.arbitration.memory_arbiter import resolve_memory_contention
+
+# Unused here since stage one runs in the engine's loop kernel; kept
+# because perfbench's arbitration tracer patches this name here.
+from repro.arbitration.memory_arbiter import resolve_memory_contention  # noqa: F401
 from repro.core.request_models import RequestModel
-from repro.exceptions import ConfigurationError, FaultError, SimulationError
-from repro.faults.injection import fail_buses
+from repro.exceptions import ConfigurationError, FaultError
 from repro.obs.metrics import get_registry, telemetry_enabled
 from repro.obs.spans import span
-from repro.simulation.engine import derive_streams
-from repro.simulation.metrics import (
-    MetricsCollector,
-    SimulationResult,
-    result_from_arrays,
+from repro.simulation.engine import (
+    check_run_length,
+    derive_streams,
+    request_generator,
+    run_loop,
+    select_backend,
 )
+from repro.simulation.metrics import SimulationResult
 from repro.simulation.vectorized import (
-    _assigner_for,
-    _resolve_stage_one,
-    assign_degraded,
-    check_batch_invariants,
-    degraded_assignment_unsupported_reason,
+    run_vectorized,
     vectorization_unsupported_reason,
 )
 from repro.topology.network import MultipleBusNetwork
-from repro.workloads.generator import ModelRequestGenerator, RequestGenerator
+from repro.workloads.generator import RequestGenerator
 
 __all__ = [
     "FaultEvent",
@@ -99,8 +102,7 @@ class FaultEvent:
             )
 
 
-@dataclasses.dataclass(frozen=True)
-class FaultSegment:
+class FaultSegment(NamedTuple):
     """A half-open cycle range ``[start, stop)`` with a fixed failure set."""
 
     start: int
@@ -296,38 +298,6 @@ class FaultySimulationResult:
         return self.result.bandwidth
 
 
-def _cycle_requests(
-    issues: np.ndarray, chosen: np.ndarray, cycle: int
-) -> list[tuple[int, int]]:
-    """The loop-format request list of one materialized cycle."""
-    active = np.flatnonzero(issues[cycle])
-    return [(int(p), int(chosen[cycle, p])) for p in active]
-
-
-def _resolve_backend(
-    network: MultipleBusNetwork,
-    generator: RequestGenerator,
-    segments: list[FaultSegment],
-    backend: str,
-    blocked: str,
-) -> tuple[str, str | None]:
-    """Resolve ``backend`` to ``("loop"|"vectorized", fallback reason)``."""
-    reason = (
-        "blocked='resubmit' holds state across cycles (loop only)"
-        if blocked == "resubmit"
-        else vectorization_unsupported_reason(network, generator)
-    )
-    if reason is None and any(
-        0 < len(s.failed) < network.n_buses for s in segments
-    ):
-        reason = degraded_assignment_unsupported_reason(network)
-    if backend == "vectorized" and reason is not None:
-        raise SimulationError(f"backend='vectorized' unavailable: {reason}")
-    if backend == "auto":
-        backend = "loop" if reason is not None else "vectorized"
-    return backend, reason
-
-
 def simulate_with_faults(
     network: MultipleBusNetwork,
     workload: RequestModel | RequestGenerator,
@@ -351,41 +321,22 @@ def simulate_with_faults(
     """
     if schedule is None:
         schedule = FaultSchedule()
-    if n_cycles < 1:
-        raise SimulationError(f"need at least one cycle, got {n_cycles}")
-    if warmup < 0:
-        raise SimulationError(f"warmup must be >= 0, got {warmup}")
-    if backend not in ("auto", "loop", "vectorized"):
-        raise ConfigurationError(
-            f"unknown backend {backend!r}; expected 'auto', 'loop' or "
-            "'vectorized'"
-        )
     if blocked not in _BLOCKED_MODES:
         raise ConfigurationError(
             f"blocked must be one of {_BLOCKED_MODES}, got {blocked!r}"
         )
     if network.scheme == "crossbar" and len(schedule):
         raise FaultError("crossbars fail by crosspoint, not by bus")
-    generator = (
-        ModelRequestGenerator(workload)
-        if isinstance(workload, RequestModel)
-        else workload
-    )
-    if generator.n_processors != network.n_processors:
-        raise SimulationError(
-            f"workload has {generator.n_processors} processors but the "
-            f"network has {network.n_processors}"
-        )
-    if generator.n_memories != network.n_memories:
-        raise SimulationError(
-            f"workload addresses {generator.n_memories} modules but the "
-            f"network has {network.n_memories}"
-        )
-
+    generator = request_generator(network, workload)
+    check_run_length(n_cycles, warmup)
     total = warmup + n_cycles
     segments = schedule.segments(total, network.n_buses)
-    backend, fallback = _resolve_backend(
-        network, generator, segments, backend, blocked
+    backend = select_backend(
+        network,
+        backend,
+        "blocked='resubmit' holds state across cycles (loop only)"
+        if blocked == "resubmit"
+        else vectorization_unsupported_reason(network, generator, segments),
     )
 
     n_fail = sum(
@@ -402,35 +353,30 @@ def simulate_with_faults(
                 registry.record_event(
                     f"fault.{event.kind}", cycle=event.cycle, bus=event.bus
                 )
-        if fallback is not None and backend == "loop":
-            registry.record_event(
-                "sim.backend_fallback",
-                scheme=network.scheme,
-                reason=fallback,
-            )
 
     generation_rng, arbitration_rng = derive_streams(seed)
     with span("sim.faulty_run", backend=backend, scheme=network.scheme):
         if backend == "vectorized":
-            result, resubmitted = (
-                _run_vectorized_segments(
-                    network,
-                    generator,
-                    segments,
-                    warmup,
-                    generation_rng,
-                    arbitration_rng,
-                ),
-                0,
-            )
-        else:
-            result, resubmitted = _run_loop_segments(
+            result = run_vectorized(
                 network,
                 generator,
-                segments,
+                n_cycles,
                 warmup,
                 generation_rng,
                 arbitration_rng,
+                segments=segments,
+            )
+            resubmitted = 0
+        else:
+            result, resubmitted = run_loop(
+                network,
+                generator,
+                assignment_for(network),
+                n_cycles,
+                warmup,
+                generation_rng,
+                arbitration_rng,
+                segments,
                 blocked,
             )
 
@@ -463,151 +409,4 @@ def simulate_with_faults(
         blackout_cycles=blackout,
         min_alive_buses=min_alive,
         resubmitted_requests=resubmitted,
-    )
-
-
-def _run_loop_segments(
-    network: MultipleBusNetwork,
-    generator: RequestGenerator,
-    segments: list[FaultSegment],
-    warmup: int,
-    generation_rng: np.random.Generator,
-    arbitration_rng: np.random.Generator,
-    blocked: str,
-) -> tuple[SimulationResult, int]:
-    """Per-cycle reference execution across segments."""
-    total = segments[-1].stop
-    n_memories = network.n_memories
-    if isinstance(generator, ModelRequestGenerator):
-        issues, chosen = generator.request_arrays(total, generation_rng)
-        requests_of = lambda c: _cycle_requests(issues, chosen, c)  # noqa: E731
-    else:
-        materialized = list(generator.cycles(total, generation_rng))
-        requests_of = materialized.__getitem__
-
-    collector = MetricsCollector(
-        network.n_processors, n_memories, network.n_buses
-    )
-    held: dict[int, int] = {}
-    resubmitted = 0
-    for segment in segments:
-        if len(segment.failed) >= network.n_buses:
-            policy = None
-            accessible = np.zeros(n_memories, dtype=bool)
-        elif segment.failed:
-            degraded = fail_buses(network, segment.failed)
-            policy = assignment_for(degraded)
-            accessible = degraded.memory_bus_matrix().any(axis=1)
-        else:
-            policy = assignment_for(network)
-            accessible = network.memory_bus_matrix().any(axis=1)
-        if policy is not None:
-            policy.reset()
-        for cycle in range(segment.start, segment.stop):
-            requests = requests_of(cycle)
-            if blocked == "resubmit":
-                resubmitted += len(held)
-                requests = [
-                    (p, m) for p, m in requests if p not in held
-                ] + sorted(held.items())
-                serviceable = [
-                    (p, m) for p, m in requests if accessible[m]
-                ]
-                held = {
-                    p: m for p, m in requests if not accessible[m]
-                }
-            else:
-                serviceable = requests
-            winners = resolve_memory_contention(
-                serviceable, n_memories, arbitration_rng
-            )
-            grants = (
-                policy.assign(sorted(winners), arbitration_rng)
-                if policy is not None
-                else {}
-            )
-            if cycle >= warmup:
-                collector.record(requests, winners, grants)
-    return collector.result(), resubmitted
-
-
-def _run_vectorized_segments(
-    network: MultipleBusNetwork,
-    generator: ModelRequestGenerator,
-    segments: list[FaultSegment],
-    warmup: int,
-    generation_rng: np.random.Generator,
-    arbitration_rng: np.random.Generator,
-) -> SimulationResult:
-    """Batch execution: each segment resolved as dense array operations.
-
-    All requests are materialized up front (bit-identical to the loop
-    path's stream consumption), so peak memory is ``O(total * N)`` —
-    fine at paper scale; split very long faulty runs into several calls
-    if that ever binds.
-    """
-    total = segments[-1].stop
-    n_memories = network.n_memories
-    issues, chosen = generator.request_arrays(total, generation_rng)
-
-    grant_count_chunks: list[np.ndarray] = []
-    requests_issued = 0
-    bus_busy = np.zeros(network.n_buses, dtype=np.int64)
-    module_served = np.zeros(n_memories, dtype=np.int64)
-    processor_served = np.zeros(network.n_processors, dtype=np.int64)
-
-    for segment in segments:
-        seg_issues = issues[segment.start : segment.stop]
-        seg_chosen = chosen[segment.start : segment.stop]
-        first_measured = max(0, warmup - segment.start)
-        blackout = len(segment.failed) >= network.n_buses
-        if blackout:
-            if first_measured >= segment.n_cycles:
-                continue
-            measured = seg_issues[first_measured:]
-            grant_count_chunks.append(
-                np.zeros(measured.shape[0], dtype=np.int64)
-            )
-            requests_issued += int(measured.sum())
-            continue
-        requested, _, winner = _resolve_stage_one(
-            seg_issues, seg_chosen, n_memories, arbitration_rng
-        )
-        if segment.failed:
-            grant_module = assign_degraded(
-                network, segment.failed, requested, arbitration_rng
-            )
-            check_batch_invariants(
-                fail_buses(network, segment.failed),
-                requested,
-                winner,
-                grant_module,
-            )
-        else:
-            grant_module = _assigner_for(network)(
-                network, requested, arbitration_rng
-            )
-            check_batch_invariants(network, requested, winner, grant_module)
-        if first_measured >= segment.n_cycles:
-            continue
-        sl = slice(first_measured, None)
-        grants = grant_module[sl]
-        granted = grants >= 0
-        grant_count_chunks.append(granted.sum(axis=1))
-        requests_issued += int(seg_issues[sl].sum())
-        bus_busy += granted.sum(axis=0)
-        served_modules = grants[granted]
-        module_served += np.bincount(served_modules, minlength=n_memories)
-        served_cycles = np.nonzero(granted)[0]
-        processor_served += np.bincount(
-            winner[sl][served_cycles, served_modules],
-            minlength=network.n_processors,
-        )
-
-    return result_from_arrays(
-        np.concatenate(grant_count_chunks),
-        requests_issued,
-        bus_busy,
-        module_served,
-        processor_served,
     )

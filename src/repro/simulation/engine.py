@@ -10,16 +10,23 @@ under exactly these rules, simulation and closed form must agree within
 Monte-Carlo noise wherever the analysis is exact — the validation
 experiment (E9) checks precisely that.
 
-Two execution backends share this front end:
+Two execution backends share this front end, each one kernel:
 
-* ``"loop"`` — the reference implementation: one Python iteration per
-  cycle through the arbitration objects of :mod:`repro.arbitration`.
-* ``"vectorized"`` — the NumPy batch backend
-  (:mod:`repro.simulation.vectorized`): all cycles resolved as dense
-  array operations, one to two orders of magnitude faster.
+* ``"loop"`` — :func:`run_loop`, the reference implementation: one
+  Python iteration per cycle through the arbitration objects of
+  :mod:`repro.arbitration`.
+* ``"vectorized"`` — :func:`~repro.simulation.vectorized.run_vectorized`,
+  the NumPy batch backend: all cycles resolved as dense array
+  operations, one to two orders of magnitude faster.
 * ``"auto"`` (default) — ``"vectorized"`` whenever the workload and
   topology support it, ``"loop"`` otherwise (custom policies, trace
   replay, fault-degraded topologies).
+
+Both kernels also take a list of ``(start, stop, failed)`` fault
+segments, which is how :func:`repro.faults.simulate_with_faults` runs a
+fail/repair schedule: there is no separate fault simulator.  Backend
+choice, and the ``sim.backend_fallback`` event when ``"auto"`` falls
+back, live in :func:`select_backend` for both front ends.
 
 Both backends derive *separate* request-generation and arbitration RNG
 streams from the seed via :class:`numpy.random.SeedSequence`, so for the
@@ -36,10 +43,13 @@ each run, and cycle/grant/request counters; each run executes inside a
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.arbitration import (
     BusAssignmentPolicy,
+    MatchingBusAssignment,
     assignment_for,
     priority_assignment_for,
 )
@@ -57,13 +67,22 @@ from repro.simulation.priority import (
     run_priority_vectorized,
 )
 from repro.simulation.vectorized import (
+    Segment,
     run_vectorized,
     vectorization_unsupported_reason,
 )
 from repro.topology.network import MultipleBusNetwork
 from repro.workloads.generator import ModelRequestGenerator, RequestGenerator
 
-__all__ = ["MultiprocessorSimulator", "simulate_bandwidth", "derive_streams"]
+__all__ = [
+    "MultiprocessorSimulator",
+    "simulate_bandwidth",
+    "derive_streams",
+    "request_generator",
+    "check_run_length",
+    "select_backend",
+    "run_loop",
+]
 
 _BACKENDS = ("auto", "loop", "vectorized")
 
@@ -131,22 +150,7 @@ class MultiprocessorSimulator:
         backend: str = "auto",
         spec: ArbitrationSpec | None = None,
     ):
-        if isinstance(workload, RequestModel):
-            workload = ModelRequestGenerator(workload)
-        if workload.n_processors != network.n_processors:
-            raise SimulationError(
-                f"workload has {workload.n_processors} processors but the "
-                f"network has {network.n_processors}"
-            )
-        if workload.n_memories != network.n_memories:
-            raise SimulationError(
-                f"workload addresses {workload.n_memories} modules but the "
-                f"network has {network.n_memories}"
-            )
-        if backend not in _BACKENDS:
-            raise ConfigurationError(
-                f"unknown backend {backend!r}; expected one of {_BACKENDS}"
-            )
+        workload = request_generator(network, workload)
         custom_policy = policy is not None
         if spec is not None:
             if custom_policy:
@@ -179,12 +183,8 @@ class MultiprocessorSimulator:
             if custom_policy
             else vectorization_unsupported_reason(network, workload)
         )
-        if backend == "vectorized" and reason is not None:
-            raise SimulationError(f"backend='vectorized' unavailable: {reason}")
         requested_backend = backend
-        if backend == "auto":
-            backend = "loop" if reason is not None else "vectorized"
-
+        backend = select_backend(network, backend, reason)
         if telemetry_enabled():
             registry = get_registry()
             registry.increment("sim.backend", backend=backend)
@@ -197,12 +197,6 @@ class MultiprocessorSimulator:
                 M=network.n_memories,
                 B=network.n_buses,
             )
-            if requested_backend == "auto" and reason is not None:
-                registry.record_event(
-                    "sim.backend_fallback",
-                    scheme=network.scheme,
-                    reason=reason,
-                )
 
         self._network = network
         self._generator = workload
@@ -241,10 +235,7 @@ class MultiprocessorSimulator:
         assumption cycles are independent, so warm-up only matters for
         pointer states; it defaults to zero.
         """
-        if n_cycles < 1:
-            raise SimulationError(f"need at least one cycle, got {n_cycles}")
-        if warmup < 0:
-            raise SimulationError(f"warmup must be >= 0, got {warmup}")
+        check_run_length(n_cycles, warmup)
         root = (
             self._seed
             if isinstance(self._seed, np.random.SeedSequence)
@@ -293,8 +284,14 @@ class MultiprocessorSimulator:
                 )
             else:
                 generation_rng, arbitration_rng = derive_streams(root)
-                result = self._run_loop(
-                    n_cycles, warmup, generation_rng, arbitration_rng
+                result, _ = run_loop(
+                    self._network,
+                    self._generator,
+                    self._policy,
+                    n_cycles,
+                    warmup,
+                    generation_rng,
+                    arbitration_rng,
                 )
         if telemetry_enabled():
             registry = get_registry()
@@ -338,61 +335,159 @@ class MultiprocessorSimulator:
                 )
         return result
 
-    def _run_loop(
-        self,
-        n_cycles: int,
-        warmup: int,
-        generation_rng: np.random.Generator,
-        arbitration_rng: np.random.Generator,
-    ) -> SimulationResult:
-        """Reference per-cycle implementation."""
-        self._policy.reset()
-        collector = MetricsCollector(
-            self._network.n_processors,
-            self._network.n_memories,
-            self._network.n_buses,
+def request_generator(
+    network: MultipleBusNetwork, workload: RequestModel | RequestGenerator
+) -> RequestGenerator:
+    """``workload`` as a request generator sized for ``network``.
+
+    Wraps a :class:`~repro.core.request_models.RequestModel` in a
+    :class:`~repro.workloads.generator.ModelRequestGenerator` and raises
+    :class:`~repro.exceptions.SimulationError` when the processor or
+    module counts disagree with the network's.
+    """
+    if isinstance(workload, RequestModel):
+        workload = ModelRequestGenerator(workload)
+    if workload.n_processors != network.n_processors:
+        raise SimulationError(
+            f"workload has {workload.n_processors} processors but the "
+            f"network has {network.n_processors}"
         )
-        n_memories = self._network.n_memories
-        for cycle, requests in enumerate(
-            self._generator.cycles(warmup + n_cycles, generation_rng)
-        ):
+    if workload.n_memories != network.n_memories:
+        raise SimulationError(
+            f"workload addresses {workload.n_memories} modules but the "
+            f"network has {network.n_memories}"
+        )
+    return workload
+
+
+def check_run_length(n_cycles: int, warmup: int) -> None:
+    """Raise :class:`~repro.exceptions.SimulationError` on a bad run length."""
+    if n_cycles < 1:
+        raise SimulationError(f"need at least one cycle, got {n_cycles}")
+    if warmup < 0:
+        raise SimulationError(f"warmup must be >= 0, got {warmup}")
+
+
+def select_backend(
+    network: MultipleBusNetwork, backend: str, reason: str | None
+) -> str:
+    """Resolve ``backend`` to ``"loop"`` or ``"vectorized"``.
+
+    ``reason`` says why the run cannot be vectorized (``None`` when it
+    can).  An explicit ``"vectorized"`` with a reason raises
+    :class:`~repro.exceptions.SimulationError`; ``"auto"`` falls back to
+    the loop and records a ``sim.backend_fallback`` telemetry event.
+    """
+    if backend not in _BACKENDS:
+        raise ConfigurationError(
+            f"unknown backend {backend!r}; expected one of {_BACKENDS}"
+        )
+    if reason is None:
+        return "loop" if backend == "loop" else "vectorized"
+    if backend == "vectorized":
+        raise SimulationError(f"backend='vectorized' unavailable: {reason}")
+    if backend == "auto" and telemetry_enabled():
+        get_registry().record_event(
+            "sim.backend_fallback", scheme=network.scheme, reason=reason
+        )
+    return "loop"
+
+
+def run_loop(
+    network: MultipleBusNetwork,
+    generator: RequestGenerator,
+    policy: BusAssignmentPolicy,
+    n_cycles: int,
+    warmup: int,
+    generation_rng: np.random.Generator,
+    arbitration_rng: np.random.Generator,
+    segments: Sequence[Segment] | None = None,
+    blocked: str = "drop",
+) -> tuple[SimulationResult, int]:
+    """Reference per-cycle execution; returns ``(result, resubmitted)``.
+
+    ``segments`` are the ``(start, stop, failed)`` fault segments of
+    :func:`~repro.simulation.vectorized.run_vectorized` (``None``: one
+    healthy segment).  Each segment arbitrates stage two with its own
+    policy, reset at the segment start: ``policy`` while every bus is
+    up, otherwise a :class:`~repro.arbitration.MatchingBusAssignment`
+    over the surviving wiring (which grants nothing in a blackout).
+    Every cycle's grants are checked against the segment's wiring.
+
+    With ``blocked="resubmit"`` a request for a module with no surviving
+    bus is held and re-presented every cycle until the module is
+    reachable again; ``resubmitted`` counts those re-presentations.
+    Contention losses are dropped either way.
+    """
+    total = warmup + n_cycles
+    if segments is None:
+        segments = [(0, total, frozenset())]
+    n_memories = network.n_memories
+    healthy = network.memory_bus_matrix()
+    collector = MetricsCollector(
+        network.n_processors, n_memories, network.n_buses
+    )
+    cycles = generator.cycles(total, generation_rng)
+    policies: dict[frozenset[int], BusAssignmentPolicy] = {
+        frozenset(): policy
+    }
+    hold = blocked == "resubmit"
+    held: dict[int, int] = {}
+    resubmitted = 0
+    for start, stop, failed in segments:
+        memory_bus = healthy.copy()
+        memory_bus[:, sorted(failed)] = False
+        if failed not in policies:
+            policies[failed] = MatchingBusAssignment(memory_bus)
+        segment_policy = policies[failed]
+        segment_policy.reset()
+        accessible = memory_bus.any(axis=1)
+        for cycle, requests in zip(range(start, stop), cycles):
+            serviceable = requests
+            if hold:
+                resubmitted += len(held)
+                requests = [
+                    (p, m) for p, m in requests if p not in held
+                ] + sorted(held.items())
+                serviceable = [(p, m) for p, m in requests if accessible[m]]
+                held = {p: m for p, m in requests if not accessible[m]}
             winners = resolve_memory_contention(
-                requests, n_memories, arbitration_rng
+                serviceable, n_memories, arbitration_rng
             )
-            grants = self._policy.assign(sorted(winners), arbitration_rng)
-            self._check_grants(grants, winners)
+            grants = segment_policy.assign(sorted(winners), arbitration_rng)
+            _check_grants(grants, winners, memory_bus)
             if cycle >= warmup:
                 collector.record(requests, winners, grants)
-        return collector.result()
+    return collector.result(), resubmitted
 
-    def _check_grants(
-        self, grants: dict[int, int], winners: dict[int, int]
-    ) -> None:
-        """Sanity-check stage two against the connection matrix.
 
-        Every grant must pair a bus with a module actually wired to it and
-        actually requested this cycle; a module may hold at most one bus.
-        These invariants catch arbitration bugs at the source instead of
-        as bandwidth anomalies.
-        """
-        mbm = self._network.memory_bus_matrix()
-        seen_modules: set[int] = set()
-        for bus, module in grants.items():
-            if module not in winners:
-                raise SimulationError(
-                    f"bus {bus} granted to module {module} which has no "
-                    "outstanding request"
-                )
-            if not mbm[module, bus]:
-                raise SimulationError(
-                    f"bus {bus} granted to module {module} which is not "
-                    "wired to it"
-                )
-            if module in seen_modules:
-                raise SimulationError(
-                    f"module {module} granted more than one bus"
-                )
-            seen_modules.add(module)
+def _check_grants(
+    grants: dict[int, int], winners: dict[int, int], memory_bus: np.ndarray
+) -> None:
+    """Sanity-check stage two against the connection matrix.
+
+    Every grant must pair a bus with a module actually wired to it and
+    actually requested this cycle; a module may hold at most one bus.
+    These invariants catch arbitration bugs at the source instead of
+    as bandwidth anomalies.
+    """
+    seen_modules: set[int] = set()
+    for bus, module in grants.items():
+        if module not in winners:
+            raise SimulationError(
+                f"bus {bus} granted to module {module} which has no "
+                "outstanding request"
+            )
+        if not memory_bus[module, bus]:
+            raise SimulationError(
+                f"bus {bus} granted to module {module} which is not "
+                "wired to it"
+            )
+        if module in seen_modules:
+            raise SimulationError(
+                f"module {module} granted more than one bus"
+            )
+        seen_modules.add(module)
 
 
 def simulate_bandwidth(

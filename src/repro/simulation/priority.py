@@ -130,6 +130,11 @@ class PrioritySimulationResult:
     per_class_grant_counts: tuple[tuple[int, ...], ...]
 
     @property
+    def bandwidth(self) -> float:
+        """Effective memory bandwidth (delegates to :attr:`total`)."""
+        return self.total.bandwidth
+
+    @property
     def n_classes(self) -> int:
         """Number of criticality classes ``K``."""
         return len(self.class_weights)

@@ -25,6 +25,12 @@ and bus utilization *exactly* for the same seed; only the fairness views
 (which processor/module wins) differ in distributionally-equivalent
 ways.  The equivalence test suite pins all of this down.
 
+Fault schedules run here too: :func:`run_vectorized` takes optional
+``(start, stop, failed)`` segments, and :func:`_stage_two` is the one
+lookup, keyed by network and failed set, that yields each segment's
+assigner -- or the reason it has none, which
+:func:`vectorization_unsupported_reason` reports for the backend choice.
+
 Use it through ``MultiprocessorSimulator(..., backend="vectorized")`` or
 ``simulate_bandwidth(..., backend="vectorized")``; the default
 ``backend="auto"`` selects it automatically whenever the workload and
@@ -34,6 +40,8 @@ topology are supported.
 from __future__ import annotations
 
 import dataclasses
+import functools
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -53,8 +61,6 @@ __all__ = [
     "run_vectorized",
     "check_batch_invariants",
     "vectorization_unsupported_reason",
-    "degraded_assignment_unsupported_reason",
-    "assign_degraded",
 ]
 
 #: Cycles resolved per vectorized chunk.  Bounds peak memory to
@@ -62,6 +68,12 @@ __all__ = [
 #: request generator's draw block (1024) so chunked and per-cycle
 #: consumption observe the same generation RNG stream.
 _CHUNK = 8192
+
+#: A fault segment: buses ``failed`` are down for cycles ``[start, stop)``.
+Segment = tuple[int, int, frozenset[int]]
+
+#: A vectorized stage two: ``(requested, rng) -> (C, B)`` grant matrix.
+Assigner = Callable[[np.ndarray, np.random.Generator], np.ndarray]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,7 +106,9 @@ class BatchTrace:
 
 
 def vectorization_unsupported_reason(
-    network: MultipleBusNetwork, generator: RequestGenerator
+    network: MultipleBusNetwork,
+    generator: RequestGenerator,
+    segments: Sequence[Segment] | None = None,
 ) -> str | None:
     """Why ``(network, generator)`` cannot run vectorized, or ``None``.
 
@@ -102,6 +116,8 @@ def vectorization_unsupported_reason(
     driven by a request-model workload; arbitrary generators (e.g. trace
     replay) and unstructured topologies (e.g. fault-degraded networks,
     which need the matching arbiter) fall back to the loop backend.
+    With fault ``segments`` (see :func:`run_vectorized`), every failed
+    set must have a vectorized degraded arbiter as well.
     """
     if not isinstance(generator, ModelRequestGenerator):
         return (
@@ -109,20 +125,12 @@ def vectorization_unsupported_reason(
             "ModelRequestGenerator (only request-model workloads are "
             "vectorized)"
         )
-    if not isinstance(
-        network,
-        (
-            CrossbarNetwork,
-            KClassPartialBusNetwork,
-            PartialBusNetwork,
-            SingleBusMemoryNetwork,
-            FullBusMemoryNetwork,
-        ),
+    for failed in dict.fromkeys(
+        [frozenset(), *(failed for _, _, failed in segments or ())]
     ):
-        return (
-            f"scheme {network.scheme!r} has no vectorized stage-two "
-            "arbiter (only full/single/partial/kclass/crossbar do)"
-        )
+        reason = _stage_two(network, failed)[1]
+        if reason is not None:
+            return reason
     return None
 
 
@@ -190,16 +198,20 @@ def _top_requested(
 
 def _assign_full(
     network: FullBusMemoryNetwork,
+    alive: np.ndarray,
     requested: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """``B``-out-of-``M`` arbitration: a uniform subset of winners."""
+    """``len(alive)``-out-of-``M`` arbitration: a uniform subset of winners."""
     keys = rng.random(requested.shape)
-    return _top_requested(requested, keys, network.n_buses)
+    grant = np.full((requested.shape[0], network.n_buses), -1, dtype=np.int64)
+    grant[:, alive] = _top_requested(requested, keys, alive.size)
+    return grant
 
 
 def _assign_crossbar(
     network: CrossbarNetwork,
+    alive: np.ndarray,
     requested: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
@@ -216,38 +228,43 @@ def _assign_crossbar(
 
 def _assign_partial(
     network: PartialBusNetwork,
+    alive: np.ndarray,
     requested: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Independent ``B/g``-out-of-``M/g`` arbitration per group."""
+    """Independent arbitration per group over its ``alive`` buses."""
     n_cycles = requested.shape[0]
     mg = network.modules_per_group
     bg = network.buses_per_group
     keys = rng.random(requested.shape)
     grant = np.full((n_cycles, network.n_buses), -1, dtype=np.int64)
     for group in range(network.n_groups):
+        group_alive = alive[
+            (alive >= group * bg) & (alive < (group + 1) * bg)
+        ]
+        if group_alive.size == 0:
+            continue
         local = _top_requested(
             requested[:, group * mg : (group + 1) * mg],
             keys[:, group * mg : (group + 1) * mg],
-            bg,
+            group_alive.size,
         )
-        grant[:, group * bg : (group + 1) * bg] = np.where(
-            local >= 0, local + group * mg, -1
-        )
+        grant[:, group_alive] = np.where(local >= 0, local + group * mg, -1)
     return grant
 
 
 def _assign_single(
     network: SingleBusMemoryNetwork,
+    alive: np.ndarray,
     requested: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Each bus independently serves one of its requested modules."""
+    """Each ``alive`` bus independently serves one of its requested modules."""
     n_cycles = requested.shape[0]
     bus_of_module = np.asarray(network.bus_of_module)
     keys = rng.random(requested.shape)
     grant = np.full((n_cycles, network.n_buses), -1, dtype=np.int64)
-    for bus in range(network.n_buses):
+    for bus in alive:
         attached = np.flatnonzero(bus_of_module == bus)
         if attached.size == 0:
             continue
@@ -262,6 +279,7 @@ def _assign_single(
 
 def _assign_kclass(
     network: KClassPartialBusNetwork,
+    alive: np.ndarray,
     requested: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
@@ -307,6 +325,8 @@ def _assign_kclass(
     return np.where(served, grant, -1)
 
 
+# Each assigner serves only the ``alive`` buses; the crossbar and K-class
+# ones are only ever given all of them (see ``_stage_two``).
 _ASSIGNERS = (
     (CrossbarNetwork, _assign_crossbar),
     (KClassPartialBusNetwork, _assign_kclass),
@@ -316,126 +336,45 @@ _ASSIGNERS = (
 )
 
 
-# ---------------------------------------------------------------------------
-# Degraded stage two: failed-bus variants of the structured assigners
-# ---------------------------------------------------------------------------
-#
-# Under the drop-blocked assumption the loop backend arbitrates degraded
-# topologies with the optimal matching policy, and for full / partial /
-# single schemes the maximum matching size has a closed structure the
-# batch backend can exploit: a full scheme serves min(alive buses,
-# requested modules); a partial scheme does so independently per group;
-# a single scheme serves one requested module per *alive* bus.  K-class
-# failures break the nested-connectivity structure, so degraded K-class
-# runs stay on the loop backend.
+def _stage_two(
+    network: MultipleBusNetwork, failed: frozenset[int]
+) -> tuple[Assigner | None, str | None]:
+    """Vectorized stage two of ``network`` with ``failed`` buses down.
 
+    Returns ``(assigner, None)``, where ``assigner(requested, rng)``
+    yields the ``(C, B)`` grant matrix, or ``(None, reason)`` when no
+    vectorized arbiter exists; a blackout (every bus down) has nothing
+    to arbitrate and returns ``(None, None)``.
 
-def degraded_assignment_unsupported_reason(
-    network: MultipleBusNetwork,
-) -> str | None:
-    """Why failed-bus stage two cannot run vectorized for ``network``.
-
-    ``network`` is the *healthy base* topology; returns ``None`` when
-    :func:`assign_degraded` supports it.
+    Under the drop-blocked assumption the loop backend arbitrates
+    degraded topologies with the matching policy, and for the full,
+    partial and single schemes the maximum matching size has a closed
+    structure: a full scheme serves min(alive buses, requested modules);
+    a partial scheme does so per group; a single scheme serves one
+    requested module per alive bus.  So those assigners simply run over
+    the alive buses and match the loop's grant counts exactly.  K-class
+    failures break the nested-connectivity structure and stay on the
+    loop.
     """
-    if isinstance(network, CrossbarNetwork):
-        return "crossbars fail by crosspoint, not by bus"
-    if isinstance(network, KClassPartialBusNetwork):
-        return (
+    alive = np.array(
+        [bus for bus in range(network.n_buses) if bus not in failed],
+        dtype=np.int64,
+    )
+    if alive.size == 0:
+        return None, None
+    if failed and isinstance(network, CrossbarNetwork):
+        return None, "crossbars fail by crosspoint, not by bus"
+    if failed and isinstance(network, KClassPartialBusNetwork):
+        return None, (
             "degraded K-class networks need the matching arbiter "
             "(failures break the nested-connectivity structure)"
         )
-    if not isinstance(
-        network,
-        (PartialBusNetwork, SingleBusMemoryNetwork, FullBusMemoryNetwork),
-    ):
-        return (
-            f"scheme {network.scheme!r} has no vectorized degraded "
-            "stage-two arbiter"
-        )
-    return None
-
-
-def _assign_degraded_full(
-    network: FullBusMemoryNetwork,
-    alive: np.ndarray,
-    requested: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Full scheme with failures: ``len(alive)``-out-of-``M``."""
-    n_cycles = requested.shape[0]
-    keys = rng.random(requested.shape)
-    local = _top_requested(requested, keys, alive.size)
-    grant = np.full((n_cycles, network.n_buses), -1, dtype=np.int64)
-    grant[:, alive] = local
-    return grant
-
-
-def _assign_degraded_partial(
-    network: PartialBusNetwork,
-    alive: np.ndarray,
-    requested: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Partial scheme with failures: per group, the surviving buses."""
-    n_cycles = requested.shape[0]
-    mg = network.modules_per_group
-    bg = network.buses_per_group
-    keys = rng.random(requested.shape)
-    grant = np.full((n_cycles, network.n_buses), -1, dtype=np.int64)
-    for group in range(network.n_groups):
-        group_alive = alive[
-            (alive >= group * bg) & (alive < (group + 1) * bg)
-        ]
-        if group_alive.size == 0:
-            continue
-        local = _top_requested(
-            requested[:, group * mg : (group + 1) * mg],
-            keys[:, group * mg : (group + 1) * mg],
-            group_alive.size,
-        )
-        grant[:, group_alive] = np.where(local >= 0, local + group * mg, -1)
-    return grant
-
-
-def assign_degraded(
-    network: MultipleBusNetwork,
-    failed_buses: frozenset[int] | set[int],
-    requested: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Vectorized stage two for ``network`` with ``failed_buses`` down.
-
-    ``network`` is the healthy base topology.  The returned grants use
-    only surviving buses and match the loop backend's matching-arbiter
-    grant *counts* exactly (see the section comment above).  Raises
-    :class:`~repro.exceptions.SimulationError` for unsupported schemes.
-    """
-    reason = degraded_assignment_unsupported_reason(network)
-    if reason is not None:
-        raise SimulationError(f"cannot vectorize degraded stage two: {reason}")
-    failed = np.asarray(sorted(failed_buses), dtype=np.int64)
-    alive = np.setdiff1d(
-        np.arange(network.n_buses, dtype=np.int64), failed
-    )
-    if alive.size == 0:
-        raise SimulationError("no alive buses; handle blackouts upstream")
-    if isinstance(network, SingleBusMemoryNetwork):
-        grant = _assign_single(network, requested, rng)
-        if failed.size:
-            grant[:, failed] = -1
-        return grant
-    if isinstance(network, PartialBusNetwork):
-        return _assign_degraded_partial(network, alive, requested, rng)
-    return _assign_degraded_full(network, alive, requested, rng)
-
-
-def _assigner_for(network: MultipleBusNetwork):
     for network_type, assigner in _ASSIGNERS:
         if isinstance(network, network_type):
-            return assigner
-    raise SimulationError(
-        f"scheme {network.scheme!r} has no vectorized stage-two arbiter"
+            return functools.partial(assigner, network, alive), None
+    return None, (
+        f"scheme {network.scheme!r} has no vectorized stage-two "
+        "arbiter (only full/single/partial/kclass/crossbar do)"
     )
 
 
@@ -449,14 +388,17 @@ def check_batch_invariants(
     requested: np.ndarray,
     winner: np.ndarray,
     grant_module: np.ndarray,
+    memory_bus: np.ndarray | None = None,
 ) -> None:
     """Vectorized counterpart of the loop engine's grant sanity checks.
 
     Verifies, over every cycle at once, that each grant pairs a bus with
     a module wired to it and requested this cycle (with a stage-one
-    winner), and that no module holds more than one bus.
+    winner), and that no module holds more than one bus.  ``memory_bus``
+    overrides ``network``'s wiring (a fault segment's degraded matrix).
     """
-    memory_bus = network.memory_bus_matrix()
+    if memory_bus is None:
+        memory_bus = network.memory_bus_matrix()
     cycles, buses = np.nonzero(grant_module >= 0)
     modules = grant_module[cycles, buses]
     if not requested[cycles, modules].all():
@@ -482,23 +424,45 @@ def run_vectorized(
     generation_rng: np.random.Generator,
     arbitration_rng: np.random.Generator,
     keep_trace: bool = False,
+    segments: Sequence[Segment] | None = None,
 ) -> SimulationResult | tuple[SimulationResult, BatchTrace]:
-    """Run ``warmup + n_cycles`` cycles in vectorized chunks.
+    """Run ``warmup + n_cycles`` cycles as dense array operations.
 
     ``generation_rng`` must be the same stream (by derivation) the loop
     backend hands its request generator, which is what makes grant
     counts comparable across backends; ``arbitration_rng`` feeds the
-    winner-selection keys.  With ``keep_trace`` the full per-cycle
-    arrays are returned alongside the result (measured cycles only) —
-    used by the equivalence tests to re-check the arbitration
-    invariants offline.
+    winner-selection keys.
+
+    ``segments`` partitions the run into ``(start, stop, failed)``
+    fault segments: buses ``failed`` are down for cycles ``[start,
+    stop)``, and a segment with every bus down is a blackout that issues
+    requests and grants none.  ``None`` means one healthy segment.
+    Requests are drawn in ``_CHUNK``-cycle blocks; arbitration windows
+    end at segment boundaries and at multiples of ``_CHUNK``, so peak
+    memory is bounded by ``_CHUNK`` and a one-segment fault run is the
+    healthy run.
+
+    With ``keep_trace`` (healthy runs only) the full per-cycle arrays
+    are returned alongside the result (measured cycles only) -- used by
+    the equivalence tests to re-check the arbitration invariants
+    offline.
     """
-    reason = vectorization_unsupported_reason(network, generator)
+    total = warmup + n_cycles
+    if segments is None:
+        segments = [(0, total, frozenset())]
+    elif keep_trace:
+        raise SimulationError("keep_trace needs a healthy run (no segments)")
+    reason = vectorization_unsupported_reason(network, generator, segments)
     if reason is not None:
         raise SimulationError(f"cannot vectorize: {reason}")
-    assigner = _assigner_for(network)
+    healthy = network.memory_bus_matrix()
+    stage_two: dict[frozenset[int], tuple[Assigner | None, np.ndarray]] = {}
+    for _, _, failed in segments:
+        if failed not in stage_two:
+            memory_bus = healthy.copy()
+            memory_bus[:, sorted(failed)] = False
+            stage_two[failed] = (_stage_two(network, failed)[0], memory_bus)
     n_memories = network.n_memories
-    total = warmup + n_cycles
 
     grant_count_chunks: list[np.ndarray] = []
     requests_issued = 0
@@ -513,41 +477,54 @@ def run_vectorized(
         chunk = min(_CHUNK, total - produced)
         registry.increment("sim.vectorized.chunks")
         registry.increment("sim.vectorized.chunk_cycles", chunk)
-        issues, chosen = generator.request_arrays(chunk, generation_rng)
-        requested, request_counts, winner = _resolve_stage_one(
-            issues, chosen, n_memories, arbitration_rng
+        chunk_issues, chunk_chosen = generator.request_arrays(
+            chunk, generation_rng
         )
-        grant_module = assigner(network, requested, arbitration_rng)
-        check_batch_invariants(network, requested, winner, grant_module)
-
-        first_measured = max(0, warmup - produced)
-        produced += chunk
-        if first_measured >= chunk:
-            continue
-        sl = slice(first_measured, None)
-        if keep_trace:
-            trace_chunks.append(
-                BatchTrace(
-                    issues[sl],
-                    chosen[sl],
-                    requested[sl],
-                    request_counts[sl],
-                    winner[sl],
-                    grant_module[sl],
+        for start, stop, failed in segments:
+            lo, hi = max(start, produced), min(stop, produced + chunk)
+            if lo >= hi:
+                continue
+            issues = chunk_issues[lo - produced : hi - produced]
+            chosen = chunk_chosen[lo - produced : hi - produced]
+            sl = slice(max(0, warmup - lo), None)
+            assigner, memory_bus = stage_two[failed]
+            if assigner is None:  # blackout: requests issued, none granted
+                grant_count_chunks.append(
+                    np.zeros(len(issues[sl]), dtype=np.int64)
                 )
+                requests_issued += int(issues[sl].sum())
+                continue
+            requested, request_counts, winner = _resolve_stage_one(
+                issues, chosen, n_memories, arbitration_rng
             )
-        grants = grant_module[sl]
-        granted = grants >= 0
-        grant_count_chunks.append(granted.sum(axis=1))
-        requests_issued += int(issues[sl].sum())
-        bus_busy += granted.sum(axis=0)
-        served_modules = grants[granted]
-        module_served += np.bincount(served_modules, minlength=n_memories)
-        served_cycles = np.nonzero(granted)[0]
-        processor_served += np.bincount(
-            winner[sl][served_cycles, served_modules],
-            minlength=network.n_processors,
-        )
+            grant_module = assigner(requested, arbitration_rng)
+            check_batch_invariants(
+                network, requested, winner, grant_module, memory_bus
+            )
+            if keep_trace:
+                trace_chunks.append(
+                    BatchTrace(
+                        issues[sl],
+                        chosen[sl],
+                        requested[sl],
+                        request_counts[sl],
+                        winner[sl],
+                        grant_module[sl],
+                    )
+                )
+            grants = grant_module[sl]
+            granted = grants >= 0
+            grant_count_chunks.append(granted.sum(axis=1))
+            requests_issued += int(issues[sl].sum())
+            bus_busy += granted.sum(axis=0)
+            served_modules = grants[granted]
+            module_served += np.bincount(served_modules, minlength=n_memories)
+            served_cycles = np.nonzero(granted)[0]
+            processor_served += np.bincount(
+                winner[sl][served_cycles, served_modules],
+                minlength=network.n_processors,
+            )
+        produced += chunk
 
     result = result_from_arrays(
         np.concatenate(grant_count_chunks),

@@ -82,6 +82,7 @@ def test_degenerate_simulation_matches_baseline(
     # Route 1: the priority engine reproduces the paper-model simulator.
     assert loop.total.grant_counts == baseline.grant_counts
     assert loop.total.bandwidth == baseline.bandwidth
+    assert loop.bandwidth == baseline.bandwidth
     assert loop.total.bandwidth_ci95 == baseline.bandwidth_ci95
     assert loop.total.bus_utilization == baseline.bus_utilization
     assert loop.total.acceptance_probability == (

@@ -10,10 +10,14 @@ import numpy as np
 import pytest
 
 from repro.analysis.evaluate import analytic_bandwidth
-from repro.arbitration.bus_arbiter import RandomBusAssignment
+from repro.arbitration.bus_arbiter import (
+    MatchingBusAssignment,
+    RandomBusAssignment,
+)
 from repro.core.hierarchy import paper_two_level_model
 from repro.core.request_models import MatrixRequestModel, UniformRequestModel
 from repro.exceptions import SimulationError
+from repro.faults.stochastic import FaultSchedule, simulate_with_faults
 from repro.simulation.engine import MultiprocessorSimulator, simulate_bandwidth
 from repro.topology import (
     CrossbarNetwork,
@@ -181,3 +185,19 @@ class TestEngineValidation:
         )
         with pytest.raises(SimulationError, match="no outstanding request"):
             sim.run(10)
+
+    def test_grant_checker_covers_faulted_cycles(self, monkeypatch):
+        # A matching policy that hands out failed bus 0 must be caught
+        # against the segment's degraded wiring.
+        def grant_failed_bus(self, requested, rng):
+            return {0: requested[0]} if len(requested) else {}
+
+        monkeypatch.setattr(MatchingBusAssignment, "assign", grant_failed_bus)
+        with pytest.raises(SimulationError, match="not wired"):
+            simulate_with_faults(
+                FullBusMemoryNetwork(4, 4, 2),
+                UniformRequestModel(4, 4),
+                FaultSchedule.static({0}),
+                n_cycles=10,
+                backend="loop",
+            )
