@@ -27,16 +27,22 @@ load cannot make the ladder flap.  Hysteresis is counted in
 *evaluations*, not wall-clock, so governor behavior in tests and
 replayed chaos runs is deterministic.
 
-The governor keeps its own latency ring buffer because
+The governor keeps its own latency window because
 :class:`repro.obs.metrics.HistogramSummary` is a count/sum/min/max
-stream with no percentiles.  Shedding is accounted per class as
-``brownout.shed{cls=...}``; ladder moves are ``brownout.transition``
-events (seq-numbered, timestamp-free) plus a ``brownout.level`` gauge.
+stream with no percentiles.  The window is held twice: a deque in
+arrival order (which sample leaves next) and a list kept sorted with
+:mod:`bisect` (which sample is the p95), so folding in a latency and
+reading the p95 both cost O(log n) rather than a sort per request.
+Shedding is accounted per class as ``brownout.shed{cls=...}``; ladder
+moves are ``brownout.transition`` events (seq-numbered,
+timestamp-free) plus a ``brownout.level`` gauge.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
+import math
 import threading
 from collections import deque
 
@@ -141,17 +147,19 @@ class BrownoutPolicy:
 class BrownoutGovernor:
     """Hysteretic ladder walker over queue-depth and p95 pressure.
 
-    Thread-safe; designed to be evaluated once per request (cheap: a
-    deque append and a few comparisons) with the p95 recomputed lazily
-    only when an evaluation actually needs it.
+    Thread-safe; designed to be evaluated once per request.  The p95
+    is read from a window kept sorted as latencies arrive, so
+    :meth:`observe_latency` costs a bisect insert (plus a bisect
+    delete once the window is full) and :meth:`evaluate` an index
+    lookup and a few comparisons.
     """
 
     def __init__(self, policy: BrownoutPolicy | None = None) -> None:
         self.policy = policy if policy is not None else BrownoutPolicy()
         self._lock = threading.Lock()
-        self._latencies: deque[float] = deque(
-            maxlen=self.policy.latency_window
-        )
+        #: The window in arrival order, and the same samples sorted.
+        self._latencies: deque[float] = deque()
+        self._sorted: list[float] = []
         self._level = 0
         self._calm_streak = 0
         self._transitions: list[dict[str, object]] = []
@@ -159,19 +167,35 @@ class BrownoutGovernor:
     # -- pressure inputs -----------------------------------------------
 
     def observe_latency(self, seconds: float) -> None:
-        """Fold one request latency into the p95 ring buffer."""
+        """Fold one request latency into the p95 window.
+
+        Raises :class:`~repro.exceptions.ConfigurationError` for a
+        non-finite value: a NaN has no place in a sorted window.
+        """
+        seconds = float(seconds)
+        if not math.isfinite(seconds):
+            raise ConfigurationError(
+                f"latency must be finite, got {seconds!r}"
+            )
         with self._lock:
-            self._latencies.append(float(seconds))
+            window = self._latencies
+            ordered = self._sorted
+            if len(window) == self.policy.latency_window:
+                # The oldest sample is the leftmost of its equals,
+                # because insort_right files ties in arrival order.
+                del ordered[bisect.bisect_left(ordered, window.popleft())]
+            window.append(seconds)
+            bisect.insort_right(ordered, seconds)
 
     def latency_p95(self) -> float:
-        """Current p95 over the ring buffer (0.0 when empty)."""
+        """Current p95 over the window (0.0 when empty)."""
         with self._lock:
             return self._p95_locked()
 
     def _p95_locked(self) -> float:
-        if not self._latencies:
+        ordered = self._sorted
+        if not ordered:
             return 0.0
-        ordered = sorted(self._latencies)
         index = max(0, int(0.95 * len(ordered)) - (len(ordered) >= 20))
         index = min(index, len(ordered) - 1)
         return ordered[index]

@@ -22,6 +22,33 @@ end-to-end budget in milliseconds.  It is parsed into a
 :class:`~repro.resilience.deadline.Deadline` at ingress and threaded
 through the engine; expiry anywhere along the path returns a structured
 504 naming the site that observed it.
+
+Framing rules.  A request head is the request line and header lines,
+each ending in CRLF, closed by an empty CRLF line; it is read with one
+``readuntil`` and split in one pass.  The rules that decide where one
+request ends and the next begins are strict, because a guess there lets
+two parties disagree about the byte stream:
+
+* the whole head, request line included, is at most 16 KiB
+  (``_MAX_HEADER_BYTES``); the stream reader's limit is the same cap;
+* a body is framed by exactly one ``Content-Length`` whose value is
+  1*DIGIT — a repeated header (equal or not), a sign, an underscore,
+  a list or an empty value is rejected;
+* any ``Transfer-Encoding`` header is rejected (no chunked bodies);
+* a bare LF ending any head line is rejected with a 400, never served:
+  at once when a CRLF head end follows it, otherwise when the client
+  ends its stream or 16 KiB pass without a CRLF head end.
+
+Each framing rejection is a structured 400 and closes the connection,
+since the rest of the stream can no longer be framed.  A head or body
+cut short by the client ends in a quiet close with no response.
+
+The per-request path on a keep-alive connection is: one ``readuntil``
+for the head, one ``readexactly`` for the body, ``json.loads``,
+:meth:`~repro.service.engine.QueryEngine.execute_payload`, and one
+``write`` of pre-formatted head bytes plus the engine's encoded
+envelope.  ``drain()`` is awaited only when the transport could not
+hand every byte to the kernel at once.
 """
 
 from __future__ import annotations
@@ -52,6 +79,10 @@ __all__ = ["BandwidthService"]
 
 _MAX_HEADER_BYTES = 16 * 1024
 
+_HEAD_END = b"\r\n\r\n"
+_HEAD_TOO_LARGE = f"request head exceeds {_MAX_HEADER_BYTES} bytes"
+_BARE_LF = "request head uses bare LF line endings; CRLF is required"
+
 _DEADLINE_HEADER_LOWER = DEADLINE_HEADER.lower()
 
 
@@ -64,53 +95,67 @@ async def _read_request(
 ) -> tuple[str, str, bytes, bool, Deadline | None]:
     """Parse one request; returns ``(method, path, body, close, deadline)``.
 
-    The deadline starts ticking the moment the ``X-Repro-Deadline-Ms``
+    Raises :class:`EOFError` when the stream ends before a full request
+    (a bare-LF head at end of stream is a :class:`_BadRequest`).  The
+    deadline starts ticking the moment the ``X-Repro-Deadline-Ms``
     header is parsed — header time counts against the budget.
     """
-    request_line = await reader.readline()
-    if not request_line:
-        raise EOFError
     try:
-        method, path, _version = (
-            request_line.decode("latin-1").strip().split(" ", 2)
-        )
+        head = await reader.readuntil(_HEAD_END)
+    except asyncio.IncompleteReadError as exc:
+        if b"\n\n" in exc.partial or b"\n\r\n" in exc.partial:
+            raise _BadRequest(_BARE_LF) from None
+        raise
+    except asyncio.LimitOverrunError:
+        raise _BadRequest(_HEAD_TOO_LARGE) from None
+    if len(head) > _MAX_HEADER_BYTES:
+        raise _BadRequest(_HEAD_TOO_LARGE)
+    if head.count(b"\n") != head.count(b"\r\n"):
+        raise _BadRequest(_BARE_LF)
+    request_line, *lines = head[:-4].decode("latin-1").split("\r\n")
+    try:
+        method, path, _version = request_line.strip().split(" ", 2)
     except ValueError:
         raise _BadRequest("malformed HTTP request line") from None
 
-    content_length = 0
+    content_length: int | None = None
     close = False
     deadline: Deadline | None = None
-    header_bytes = 0
-    while True:
-        line = await reader.readline()
-        header_bytes += len(line)
-        if header_bytes > _MAX_HEADER_BYTES:
-            raise _BadRequest("headers too large")
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
+    for line in lines:
+        name, _, value = line.partition(":")
         name = name.strip().lower()
         if name == "content-length":
+            if content_length is not None:
+                raise _BadRequest("repeated Content-Length header")
+            value = value.strip()
             try:
-                content_length = int(value.strip())
+                # ``int()`` alone would also take a sign, underscores
+                # and non-ASCII digits; the grammar is 1*DIGIT.  It
+                # raises on more digits than it converts.
+                if not (value.isascii() and value.isdigit()):
+                    raise ValueError
+                content_length = int(value)
             except ValueError:
                 raise _BadRequest(
-                    f"bad Content-Length: {value.strip()!r}"
+                    f"bad Content-Length: {value[:32]!r}"
                 ) from None
+        elif name == "transfer-encoding":
+            raise _BadRequest(
+                "Transfer-Encoding is not supported; frame the body "
+                "with Content-Length"
+            )
         elif name == "connection":
             close = value.strip().lower() == "close"
         elif name == _DEADLINE_HEADER_LOWER:
             deadline = parse_deadline_header(value)
-    if content_length < 0:
-        raise _BadRequest(f"bad Content-Length: {content_length}")
+    if not content_length:
+        return method, path, b"", close, deadline
     if content_length > max_body:
         raise QueryTooLargeError(
             f"request body of {content_length} bytes exceeds the "
             f"{max_body}-byte limit"
         )
-    body = (
-        await reader.readexactly(content_length) if content_length else b""
-    )
+    body = await reader.readexactly(content_length)
     return method, path, body, close, deadline
 
 
@@ -136,7 +181,8 @@ class BandwidthService:
     async def start(self) -> int:
         """Start accepting connections; returns the bound port."""
         self._server = await asyncio.start_server(
-            self._handle_connection, self._host, self._port
+            self._handle_connection, self._host, self._port,
+            limit=_MAX_HEADER_BYTES,
         )
         return self.port
 
@@ -191,11 +237,9 @@ class BandwidthService:
                     method, path, body, close, deadline = await _read_request(
                         reader, self.engine.limits.max_body_bytes
                     )
-                except (
-                    EOFError,
-                    asyncio.IncompleteReadError,
-                    ConnectionError,
-                ):
+                except (EOFError, ConnectionError):
+                    # EOFError covers asyncio.IncompleteReadError: a
+                    # head or body cut short closes without an answer.
                     break
                 except Exception as exc:
                     await self._send_error(writer, exc)
@@ -259,7 +303,9 @@ class BandwidthService:
                 )
             try:
                 payload = json.loads(body)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
+                # ValueError: JSONDecodeError, or bytes that are not
+                # UTF-8/16/32; RecursionError: nesting past the limit.
                 raise ConfigurationError(
                     f"request body is not valid JSON: {exc}"
                 ) from exc
@@ -288,15 +334,19 @@ class BandwidthService:
         )
 
 
-_STATUS_TEXT = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
+#: ``HTTP/1.1 <status> <reason>\r\n`` for every status the service sends.
+_STATUS_LINES = {
+    status: f"HTTP/1.1 {status} {reason}\r\n".encode("latin-1")
+    for status, reason in {
+        200: "OK",
+        400: "Bad Request",
+        404: "Not Found",
+        413: "Payload Too Large",
+        429: "Too Many Requests",
+        500: "Internal Server Error",
+        503: "Service Unavailable",
+        504: "Gateway Timeout",
+    }.items()
 }
 
 
@@ -312,18 +362,16 @@ async def _write_response(
     payload: bytes,
     headers: dict[str, str],
 ) -> None:
-    reason = _STATUS_TEXT.get(status, "Unknown")
-    lines = [
-        f"HTTP/1.1 {status} {reason}",
-        f"Content-Length: {len(payload)}",
-    ]
-    header_names = {name.lower() for name in headers}
-    if "content-type" not in header_names:
-        lines.append("Content-Type: application/json")
-    lines.extend(f"{name}: {value}" for name, value in headers.items())
-    head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-    writer.write(head + payload)
-    try:
-        await writer.drain()
-    except ConnectionError:
-        pass
+    head = _STATUS_LINES[status] + b"Content-Length: %d\r\n" % len(payload)
+    if not any(name.lower() == "content-type" for name in headers):
+        head += b"Content-Type: application/json\r\n"
+    for name, value in headers.items():
+        head += f"{name}: {value}\r\n".encode("latin-1")
+    writer.write(head + b"\r\n" + payload)
+    # The transport sends at once what the kernel takes; only a backlog
+    # left in its buffer is worth waiting on.
+    if writer.transport.get_write_buffer_size():
+        try:
+            await writer.drain()
+        except ConnectionError:
+            pass

@@ -82,17 +82,28 @@ _MODEL_ALIASES = {
 #: ``generator`` (custom) is parsed separately: its canonical form is a
 #: nested tuple carrying the whole structure spec.
 _NETWORK_FIELDS = {"n_groups": "partial", "class_sizes": "kclass"}
+_NETWORK_FIELD_ORDER = tuple(sorted(_NETWORK_FIELDS.items()))
 
 #: Arbitration knobs accepted for every scheme; degenerate values are
 #: normalized away so they never perturb cache keys.
 _ARBITRATION_FIELDS = ("classes", "tenure")
 
+#: Optional fields that become network kwargs; a query naming none of
+#: them (and not ``custom``, which requires a generator) skips their
+#: parsers altogether.
+_KWARG_FIELDS = frozenset(
+    {"generator"} | set(_NETWORK_FIELDS) | set(_ARBITRATION_FIELDS)
+)
+
 _KNOWN_FIELDS = frozenset(
     {"scheme", "N", "M", "B", "bus_counts", "r", "model", "hierarchy",
-     "criticality", "generator"}
-    | set(_NETWORK_FIELDS)
-    | set(_ARBITRATION_FIELDS)
+     "criticality"}
+    | _KWARG_FIELDS
 )
+
+#: What an omitted ``hierarchy`` (or an omitted part of one) means.
+_DEFAULT_CLUSTERS = 4
+_DEFAULT_FRACTIONS = (0.6, 0.3, 0.1)
 
 #: Largest accepted criticality class number (0 = most critical).
 MAX_CRITICALITY = 15
@@ -107,7 +118,10 @@ class ServiceLimits:
     max_body_bytes: int = 1 << 20  #: largest accepted HTTP body
 
 
-@dataclasses.dataclass(frozen=True)
+_DEFAULT_LIMITS = ServiceLimits()
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
 class Query:
     """A normalized bandwidth query; hashable, so it *is* the cache key.
 
@@ -115,6 +129,12 @@ class Query:
     vector for a sweep.  ``clusters`` / ``fractions`` describe the
     hierarchical request model and are ``None`` for the uniform model, so
     equivalent requests hash equal regardless of spelling.
+
+    A hit looks the same query up in several LRUs, so the compared
+    fields are packed into one tuple and hashed once at construction.
+    The hash stays in the process that computed it: pickling (and
+    :func:`copy.copy`) rebuild the query through ``__init__``, because
+    string hashes differ between interpreters.
     """
 
     scheme: str
@@ -132,6 +152,26 @@ class Query:
     #: coalescing — criticality routes the request, it does not change
     #: the answer.
     criticality: int = dataclasses.field(default=0, compare=False)
+
+    def __post_init__(self) -> None:
+        key = (
+            self.scheme, self.n_processors, self.n_memories,
+            self.bus_counts, self.rate, self.model, self.clusters,
+            self.fractions, self.network_kwargs,
+        )
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self._key == other._key
+
+    def __reduce__(self):
+        return self.__class__, self._key + (self.criticality,)
 
     @property
     def is_sweep(self) -> bool:
@@ -185,7 +225,9 @@ def _require_rate(payload: Mapping) -> float:
 
 
 def _require_criticality(payload: Mapping) -> int:
-    value = payload.get("criticality", 0)
+    if "criticality" not in payload:
+        return 0
+    value = payload["criticality"]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigurationError(
             f"field 'criticality' must be an integer, got {value!r}"
@@ -201,7 +243,7 @@ def _require_criticality(payload: Mapping) -> int:
 def _parse_bus_counts(
     payload: Mapping, sweep: bool, limits: ServiceLimits
 ) -> tuple[int, ...]:
-    raw = payload.get("B", payload.get("bus_counts"))
+    raw = payload["B"] if "B" in payload else payload.get("bus_counts")
     if raw is None:
         raise ConfigurationError("field 'B' is required")
     if not sweep:
@@ -209,14 +251,18 @@ def _parse_bus_counts(
             raise ConfigurationError(
                 f"field 'B' must be an integer for /query, got {raw!r}"
             )
-        raw = [raw]
-    elif isinstance(raw, bool) or isinstance(raw, int):
+        if not 1 <= raw <= limits.max_machine:
+            raise ConfigurationError(
+                f"bus count must be in [1, {limits.max_machine}], got {raw}"
+            )
+        return (raw,)
+    if isinstance(raw, bool) or isinstance(raw, int):
         raw = [raw]
     elif not isinstance(raw, (list, tuple)):
         raise ConfigurationError(
             f"field 'B' must be an integer or a list, got {raw!r}"
         )
-    if sweep and len(raw) > limits.max_sweep_cells:
+    if len(raw) > limits.max_sweep_cells:
         raise QueryTooLargeError(
             f"sweep asks for {len(raw)} bus counts, limit is "
             f"{limits.max_sweep_cells}"
@@ -255,7 +301,15 @@ def _parse_hierarchy(
             "the hierarchical model is N x N: M must equal N, got "
             f"N={n_processors} M={n_memories}"
         )
-    clusters = spec.get("clusters", 4)
+    return (
+        _parse_clusters(spec) if "clusters" in spec else _DEFAULT_CLUSTERS,
+        _parse_fractions(spec) if "fractions" in spec
+        else _DEFAULT_FRACTIONS,
+    )
+
+
+def _parse_clusters(spec: Mapping) -> int:
+    clusters = spec["clusters"]
     if isinstance(clusters, bool) or not isinstance(clusters, int):
         raise ConfigurationError(
             f"hierarchy 'clusters' must be an integer, got {clusters!r}"
@@ -264,7 +318,11 @@ def _parse_hierarchy(
         raise ConfigurationError(
             f"hierarchy 'clusters' must be >= 1, got {clusters}"
         )
-    fractions = spec.get("fractions", (0.6, 0.3, 0.1))
+    return clusters
+
+
+def _parse_fractions(spec: Mapping) -> tuple[float, ...]:
+    fractions = spec["fractions"]
     if not isinstance(fractions, (list, tuple)):
         raise ConfigurationError(
             f"hierarchy 'fractions' must be a list, got {fractions!r}"
@@ -282,14 +340,14 @@ def _parse_hierarchy(
                 f"got {value!r}"
             )
         cleaned.append(value)
-    return clusters, tuple(cleaned)
+    return tuple(cleaned)
 
 
 def _parse_network_kwargs(
     payload: Mapping, scheme: str, n_memories: int, limits: ServiceLimits
 ) -> tuple[tuple[str, object], ...]:
     kwargs: list[tuple[str, object]] = []
-    for field, target_scheme in sorted(_NETWORK_FIELDS.items()):
+    for field, target_scheme in _NETWORK_FIELD_ORDER:
         if field not in payload:
             continue
         if scheme != target_scheme:
@@ -418,13 +476,16 @@ def parse_query(
     :class:`~repro.exceptions.QueryTooLargeError`) so the front-end can
     map it to a structured 4xx envelope.
     """
-    limits = limits or ServiceLimits()
-    if not isinstance(payload, Mapping):
+    if limits is None:
+        limits = _DEFAULT_LIMITS
+    # ``json.loads`` hands over a dict; only other mappings pay for the
+    # ABC check.
+    if payload.__class__ is not dict and not isinstance(payload, Mapping):
         raise ConfigurationError(
             f"request body must be a JSON object, got {type(payload).__name__}"
         )
-    unknown = set(payload) - _KNOWN_FIELDS
-    if unknown:
+    if not _KNOWN_FIELDS.issuperset(payload):
+        unknown = set(payload) - _KNOWN_FIELDS
         raise ConfigurationError(f"unknown fields: {sorted(unknown)}")
 
     scheme = payload.get("scheme")
@@ -462,13 +523,15 @@ def parse_query(
             "field 'hierarchy' only applies when model is 'hier'"
         )
 
-    network_kwargs = tuple(
-        sorted(
-            _parse_network_kwargs(payload, scheme, n_memories, limits)
-            + _parse_generator_kwargs(payload, scheme, limits)
-            + _parse_arbitration_kwargs(payload, n_processors)
+    network_kwargs: tuple[tuple[str, object], ...] = ()
+    if scheme == "custom" or not _KWARG_FIELDS.isdisjoint(payload):
+        network_kwargs = tuple(
+            sorted(
+                _parse_network_kwargs(payload, scheme, n_memories, limits)
+                + _parse_generator_kwargs(payload, scheme, limits)
+                + _parse_arbitration_kwargs(payload, n_processors)
+            )
         )
-    )
     return Query(
         scheme=scheme,
         n_processors=n_processors,

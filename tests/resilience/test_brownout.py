@@ -5,7 +5,11 @@ walk is exactly reproducible — the property the chaos replay suite
 leans on.
 """
 
+import math
+from collections import deque
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro import build_manifest, telemetry
 from repro.exceptions import ConfigurationError
@@ -143,3 +147,85 @@ class TestTelemetryAndValidation:
             BrownoutPolicy(batch_shrink_factor=1.0)
         with pytest.raises(ConfigurationError):
             BrownoutPolicy(recovery_updates=0)
+
+
+class _SortingGovernor(BrownoutGovernor):
+    """Reference p95: a bounded deque sorted afresh on every read."""
+
+    def __init__(self, policy):
+        super().__init__(policy)
+        self._window = deque(maxlen=policy.latency_window)
+
+    def observe_latency(self, seconds):
+        with self._lock:
+            self._window.append(float(seconds))
+
+    def _p95_locked(self):
+        if not self._window:
+            return 0.0
+        ordered = sorted(self._window)
+        index = max(0, int(0.95 * len(ordered)) - (len(ordered) >= 20))
+        index = min(index, len(ordered) - 1)
+        return ordered[index]
+
+
+def _same_float(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+# Few distinct values, so windows hold many ties (-0.0 ties with 0.0).
+_LATENCIES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 0.05, 0.1, 0.3, 0.5, 0.7, 2.0]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+class TestIncrementalP95:
+    @given(data=st.data(), window=st.integers(min_value=1, max_value=40))
+    def test_matches_a_sorting_reference(self, data, window):
+        policy = BrownoutPolicy(
+            criticality_classes=3,
+            queue_high=10,
+            queue_low=2,
+            p95_high_seconds=0.5,
+            p95_low_seconds=0.1,
+            latency_window=window,
+            recovery_updates=2,
+        )
+        # Each step folds in one latency, then evaluates at 0-3 queue
+        # depths; there are always more latencies than the window holds.
+        steps = data.draw(
+            st.lists(
+                st.tuples(
+                    _LATENCIES,
+                    st.lists(st.integers(min_value=0, max_value=14),
+                             max_size=3),
+                ),
+                min_size=window + 1,
+                max_size=3 * window + 20,
+            )
+        )
+        governor = BrownoutGovernor(policy)
+        reference = _SortingGovernor(policy)
+        for seconds, depths in steps:
+            governor.observe_latency(seconds)
+            reference.observe_latency(seconds)
+            assert _same_float(
+                governor.latency_p95(), reference.latency_p95()
+            )
+            # The whole window, not only its p95 rank, matches a stable
+            # sort, down to which of two tied zeros left first.
+            assert list(map(repr, governor._sorted)) == list(
+                map(repr, sorted(reference._window))
+            )
+            for depth in depths:
+                assert governor.evaluate(depth) == reference.evaluate(depth)
+        assert governor.transitions() == reference.transitions()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_latency_is_rejected(self, bad):
+        governor = _governor()
+        governor.observe_latency(0.2)
+        with pytest.raises(ConfigurationError, match="finite"):
+            governor.observe_latency(bad)
+        assert governor.latency_p95() == 0.2

@@ -341,3 +341,154 @@ def test_parse_failures_do_not_poison_subsequent_requests():
     assert bad_status == 400
     assert good_status == 200
     assert json.loads(good_body)["ok"] is True
+
+
+# ----------------------------------------------------------------------
+# Framing: one reading of the byte stream, or a 400 and a close
+# ----------------------------------------------------------------------
+
+
+async def _exchange(port, raw: bytes) -> bytes:
+    """Send ``raw`` and end the stream; return every byte the server
+    sends until it closes."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(raw)
+    writer.write_eof()
+    await writer.drain()
+    received = await asyncio.wait_for(reader.read(), timeout=5.0)
+    writer.close()
+    return received
+
+
+def _responses(raw: bytes) -> list[tuple[int, bytes]]:
+    """Split a response stream into ``(status, body)`` pairs."""
+    responses = []
+    while raw:
+        head, _, rest = raw.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        length = next(
+            int(line.partition(":")[2])
+            for line in lines
+            if line.lower().startswith("content-length:")
+        )
+        responses.append((int(lines[0].split(" ")[1]), rest[:length]))
+        raw = rest[length:]
+    return responses
+
+
+_CELL = json.dumps({"scheme": "full", "N": 16, "B": 8}).encode()
+
+
+def _assert_one_framing_400(raw: bytes, needle: str) -> None:
+    """Exactly one response, a structured 400 naming ``needle``."""
+    ((status, body),) = _responses(raw)
+    assert status == 400
+    envelope = json.loads(body)
+    assert envelope["ok"] is False
+    assert envelope["error"]["status"] == 400
+    assert needle in envelope["error"]["message"]
+
+
+def test_repeated_content_length_is_400_and_closes():
+    # The last header would frame 68 bytes, the first only 5.
+    raw = (
+        b"POST /query HTTP/1.1\r\nContent-Length: 5\r\n"
+        b"Content-Length: %d\r\n\r\n" % len(_CELL)
+    ) + _CELL
+    _assert_one_framing_400(
+        _serve(lambda port: _exchange(port, raw)), "Content-Length"
+    )
+
+
+def test_signed_content_length_is_400_and_closes():
+    raw = (
+        b"POST /query HTTP/1.1\r\nContent-Length: +%d\r\n\r\n" % len(_CELL)
+    ) + _CELL
+    _assert_one_framing_400(
+        _serve(lambda port: _exchange(port, raw)), "Content-Length"
+    )
+
+
+def test_underscored_content_length_is_400_and_closes():
+    digits = str(len(_CELL))
+    assert len(digits) == 2
+    raw = (
+        b"POST /query HTTP/1.1\r\nContent-Length: %s_%s\r\n\r\n"
+        % (digits[0].encode(), digits[1].encode())
+    ) + _CELL
+    _assert_one_framing_400(
+        _serve(lambda port: _exchange(port, raw)), "Content-Length"
+    )
+
+
+def test_transfer_encoding_is_400_and_chunks_are_never_a_request():
+    chunk = b"%x\r\n%s\r\n0\r\n\r\n" % (len(_CELL), _CELL)
+    raw = (
+        b"POST /query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n" + chunk
+    )
+    _assert_one_framing_400(
+        _serve(lambda port: _exchange(port, raw)), "Transfer-Encoding"
+    )
+
+
+def test_request_line_counts_toward_the_head_cap():
+    # A 10 KiB request line plus 8 KiB of headers: each is under the
+    # 16 KiB cap on its own, the head is not.
+    raw = (
+        b"GET /healthz HTTP/1.1" + b"X" * (10 * 1024) + b"\r\n"
+        b"X-Pad: " + b"p" * (8 * 1024) + b"\r\n\r\n"
+    )
+    _assert_one_framing_400(
+        _serve(lambda port: _exchange(port, raw)), "16384 bytes"
+    )
+
+
+@pytest.mark.parametrize("size, status", [(16 * 1024, 200),
+                                          (16 * 1024 + 1, 400)])
+def test_head_cap_is_exact(size, status):
+    base = b"GET /healthz HTTP/1.1\r\nX-Pad: \r\n\r\n"
+    raw = base.replace(b"X-Pad: ", b"X-Pad: " + b"p" * (size - len(base)))
+    assert len(raw) == size
+    ((answer, body),) = _responses(
+        _serve(lambda port: _exchange(port, raw))
+    )
+    assert answer == status
+    assert json.loads(body)["ok"] is (status == 200)
+
+
+def test_bare_lf_head_is_400_and_never_served():
+    """CRLF is required: a bare-LF head is refused, not guessed at."""
+    # All bare LF: no CRLF head end ever arrives, so the 400 comes when
+    # the client ends its stream.
+    raw = b"GET /healthz HTTP/1.1\nHost: x\n\n"
+    _assert_one_framing_400(
+        _serve(lambda port: _exchange(port, raw)),
+        "bare LF",
+    )
+    # Mixed endings: the CRLF head end arrives, the bare LF is inside.
+    raw = b"GET /healthz HTTP/1.1\nHost: x\r\n\r\n"
+    _assert_one_framing_400(
+        _serve(lambda port: _exchange(port, raw)), "bare LF"
+    )
+
+
+def test_body_that_is_not_utf8_is_400():
+    async def scenario(port):
+        return await _roundtrip(port, _post(
+            "/query", None, raw_body=b'{"scheme": "\xff"}'
+        ))
+
+    status, _, body = _serve(scenario)
+    assert status == 400
+    _assert_envelope(body, 400, "ConfigurationError")
+
+
+def test_body_nested_past_the_recursion_limit_is_400():
+    async def scenario(port):
+        return await _roundtrip(port, _post(
+            "/query", None, raw_body=b"[" * 100_000
+        ))
+
+    status, _, body = _serve(scenario)
+    assert status == 400
+    _assert_envelope(body, 400, "ConfigurationError")

@@ -9,11 +9,19 @@ parameters, oversized sweeps — and require every rejection to be a
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import repro
 from repro.core.hierarchy import HierarchicalRequestModel
 from repro.core.request_models import UniformRequestModel
 from repro.exceptions import (
@@ -308,3 +316,93 @@ def test_fuzz_mutated_valid_payloads(mutations, sweep):
         return
     assert isinstance(query, Query)
     hash(query)
+
+
+# ----------------------------------------------------------------------
+# The cached hash: computed once, never carried out of its process
+# ----------------------------------------------------------------------
+
+_HASH_SAFETY_CELL = {"scheme": "kclass", "N": 16, "M": 16, "B": 4,
+                     "r": 0.5, "model": "hier", "class_sizes": [8, 8],
+                     "classes": [0.25, 0.75], "tenure": 3}
+
+
+def _run_python(code: str, seed: str, stdin: bytes = b"") -> bytes:
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], input=stdin, env=env,
+        capture_output=True, check=True, timeout=120,
+    )
+    return done.stdout
+
+
+def test_pickled_query_rehashes_under_another_hash_seed():
+    pickled = _run_python(
+        "import pickle, sys\n"
+        "from repro.service.protocol import parse_query\n"
+        f"query = parse_query({_HASH_SAFETY_CELL!r})\n"
+        "sys.stdout.buffer.write(pickle.dumps(query))\n",
+        seed="0",
+    )
+    verdict = _run_python(
+        "import pickle, sys\n"
+        "from repro.service.protocol import parse_query\n"
+        "query = pickle.loads(sys.stdin.buffer.read())\n"
+        f"twin = parse_query({_HASH_SAFETY_CELL!r})\n"
+        "print(query == twin, hash(query) == hash(twin),\n"
+        "      {twin: 'hit'}.get(query), query.criticality)\n",
+        seed="1",
+        stdin=pickled,
+    )
+    assert verdict.split() == [b"True", b"True", b"hit", b"0"]
+
+
+def test_copies_and_replacements_hash_like_a_fresh_parse():
+    query = parse_query(_HASH_SAFETY_CELL)
+    twin = parse_query(dict(_HASH_SAFETY_CELL))
+    for other in (copy.copy(query), copy.deepcopy(query),
+                  pickle.loads(pickle.dumps(query)),
+                  dataclasses.replace(query)):
+        assert other == twin and hash(other) == hash(twin)
+        assert {twin: "hit"}[other] == "hit"
+    moved = dataclasses.replace(query, bus_counts=(2,))
+    assert moved == parse_query({**_HASH_SAFETY_CELL, "B": 2})
+    assert hash(moved) == hash(parse_query({**_HASH_SAFETY_CELL, "B": 2}))
+    assert moved != query
+
+
+def test_criticality_changes_neither_equality_nor_hash():
+    plain = parse_query(_HASH_SAFETY_CELL)
+    labeled = parse_query({**_HASH_SAFETY_CELL, "criticality": 3})
+    relabeled = dataclasses.replace(plain, criticality=2)
+    assert labeled.criticality == 3 and relabeled.criticality == 2
+    assert plain == labeled == relabeled
+    assert hash(plain) == hash(labeled) == hash(relabeled)
+    assert pickle.loads(pickle.dumps(labeled)).criticality == 3
+
+
+@pytest.mark.parametrize("omitted, spelled", [
+    ({"scheme": "full", "N": 16, "B": 8, "model": "hier"},
+     {"scheme": "full", "N": 16, "B": 8, "model": "hier",
+      "hierarchy": {"clusters": 4, "fractions": [0.6, 0.3, 0.1]}}),
+    ({"scheme": "full", "N": 16, "B": 8, "model": "hier",
+      "hierarchy": {"clusters": 2}},
+     {"scheme": "full", "N": 16, "B": 8, "model": "hier",
+      "hierarchy": {"clusters": 2, "fractions": [0.6, 0.3, 0.1]}}),
+    ({"scheme": "full", "N": 16, "B": 8},
+     {"scheme": "full", "N": 16, "B": 8, "tenure": 1}),
+    ({"scheme": "full", "N": 16, "B": 8},
+     {"scheme": "full", "N": 16, "B": 8, "classes": [1.0]}),
+    ({"scheme": "full", "N": 16, "B": 8},
+     {"scheme": "full", "N": 16, "M": 16, "B": 8, "r": 1, "model": "unif",
+      "tenure": 1.0, "classes": [1], "criticality": 0}),
+])
+def test_spelled_out_defaults_hash_like_omitted_ones(omitted, spelled):
+    a, b = parse_query(omitted), parse_query(spelled)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert {a: "hit"}[b] == "hit"
